@@ -22,12 +22,14 @@ use criterion::{criterion_group, BenchmarkId as CriterionId, Criterion};
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use vaqem_ansatz::su2::{EfficientSu2, Entanglement};
-use vaqem_bench::alap;
+use vaqem_bench::{alap, rpcload};
 use vaqem_circuit::circuit::QuantumCircuit;
 use vaqem_circuit::gate::Gate;
+use vaqem_circuit::schedule::{DurationModel, ScheduledCircuit};
 use vaqem_device::noise::NoiseParameters;
 use vaqem_mathkit::rng::SeedStream;
 use vaqem_mathkit::smallmat::{M2, M4};
+use vaqem_mitigation::dd::{DdPass, DdSequence};
 use vaqem_sim::density::run_markovian;
 use vaqem_sim::machine::MachineExecutor;
 use vaqem_sim::naive;
@@ -153,6 +155,42 @@ fn bench_machine_trajectories(c: &mut Criterion) {
     group.finish();
 }
 
+/// A DD-padded job shaped like the tuner's: the serving fixture's 3-qubit
+/// device noise (quasi-static detuning, telegraph switching,
+/// nearest-neighbour ZZ) with every idle window of the ALAP schedule
+/// filled with XY4. `NoiseParameters::uniform` has neither ZZ nor DD, so
+/// the plain machine rows cannot see the per-segment phase work this
+/// fixture exercises.
+fn dd_fixture() -> (ScheduledCircuit, NoiseParameters) {
+    let noise = rpcload::windowed_device(0, 1).model.noise().clone();
+    let base = alap(&bound_ansatz(rpcload::WINDOWED_QUBITS, 2));
+    let pulse_ns = DurationModel::ibm_default().single_qubit_ns();
+    let padded = DdPass::new(DdSequence::Xy4, pulse_ns, 4.0 * pulse_ns).apply_uniform(&base, 2);
+    assert!(
+        padded.ops().len() > base.ops().len(),
+        "the fixture must schedule DD pulses"
+    );
+    (padded, noise)
+}
+
+/// Trajectory sampling on the DD fixture: the optimized executor against
+/// the original per-op path.
+fn bench_machine_dd(c: &mut Criterion) {
+    let (s, noise) = dd_fixture();
+    let mut group = c.benchmark_group("machine_256_shots_dd");
+    let exec = MachineExecutor::new(noise.clone(), SeedStream::new(1));
+    group.bench_with_input(CriterionId::from_parameter(3), &s, |b, s| {
+        b.iter(|| exec.run_job_with_shots(s, 256, 7))
+    });
+    group.finish();
+    let mut group = c.benchmark_group("machine_256_shots_dd_naive");
+    let seeds = SeedStream::new(1);
+    group.bench_with_input(CriterionId::from_parameter(3), &s, |b, s| {
+        b.iter(|| naive::machine_run_job_with_shots(&noise, &seeds, s, 256, 7))
+    });
+    group.finish();
+}
+
 /// Markovian density evolution: O(4^n) sub-block sweeps vs O(8^n)
 /// embed-and-multiply.
 fn bench_density(c: &mut Criterion) {
@@ -182,6 +220,7 @@ criterion_group!(
     bench_sv_sample,
     bench_kernels,
     bench_machine_trajectories,
+    bench_machine_dd,
     bench_density
 );
 

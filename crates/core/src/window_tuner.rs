@@ -709,21 +709,24 @@ pub struct FleetCacheSession<'a, S: MitigationStoreBackend = MitigationConfigSto
 
 /// Applies a stage's guard verdict to the store: accepted runs publish
 /// their freshly swept choices; rejected runs evict the cached entries
-/// that seeded them (stale within their epoch).
+/// that seeded them (stale within their epoch). Both are counted in
+/// `stats`.
 fn reconcile_store<S: MitigationStoreBackend>(
     s: &mut FleetCacheSession<'_, S>,
     accepted: bool,
     pending: Vec<(WindowFingerprint, CachedChoice)>,
     seeded: &[WindowFingerprint],
+    stats: &mut WarmStats,
 ) {
     if accepted {
+        stats.published += pending.len();
         for (fp, choice) in pending {
             s.store
                 .publish(s.device, s.epoch, fp, StoredChoice::Window(choice));
         }
     } else {
         for fp in seeded {
-            s.store.discard(s.device, s.epoch, fp);
+            stats.discarded += usize::from(s.store.discard(s.device, s.epoch, fp));
         }
     }
 }
@@ -741,6 +744,11 @@ pub struct WarmStats {
     /// ([`WindowTuner::tune_combined_warm`]) this is `true` when *any*
     /// stage's guard rejected.
     pub guard_rejected: bool,
+    /// Entries this run wrote to the store (guard-accepted choices).
+    pub published: usize,
+    /// Cache-seeded entries this run dropped after a guard rejection
+    /// (only those still present in the store).
+    pub discarded: usize,
 }
 
 impl WarmStats {
@@ -748,6 +756,8 @@ impl WarmStats {
         self.hits += other.hits;
         self.misses += other.misses;
         self.guard_rejected |= other.guard_rejected;
+        self.published += other.published;
+        self.discarded += other.discarded;
     }
 }
 
@@ -965,7 +975,7 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
         );
         stats.guard_rejected = !accepted;
         if let Some(s) = session {
-            reconcile_store(s, accepted, pending, &seeded);
+            reconcile_store(s, accepted, pending, &seeded, &mut stats);
         }
         Ok((
             TunedMitigation {
@@ -1172,7 +1182,7 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
             self.accept_or_revert(cache, base, tuned, 3_000_000, &mut evaluations);
         stats.guard_rejected = !accepted;
         if let Some(s) = session {
-            reconcile_store(s, accepted, pending, &seeded);
+            reconcile_store(s, accepted, pending, &seeded, &mut stats);
         }
         Ok((
             TunedMitigation {
@@ -1353,6 +1363,7 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
             &self.config,
         );
         let mut seed_rejected = false;
+        let mut seed_discarded = false;
         if let Some(StoredChoice::Composed(c)) =
             session.store.lookup(session.device, session.epoch, &fp)
         {
@@ -1380,12 +1391,11 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
                     },
                     stats: WarmStats {
                         hits: 1,
-                        misses: 0,
-                        guard_rejected: false,
+                        ..WarmStats::default()
                     },
                 });
             }
-            session.store.discard(session.device, session.epoch, &fp);
+            seed_discarded = session.store.discard(session.device, session.epoch, &fp);
             seed_rejected = true;
         }
         let (gs, mut stats) = self.tune_gs_impl(&cache, Some(session))?;
@@ -1396,6 +1406,8 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
         stats.absorb(zne_stats);
         stats.misses += 1; // the composed lookup itself re-tuned
         stats.guard_rejected |= seed_rejected;
+        stats.discarded += usize::from(seed_discarded);
+        stats.published += 1;
         let config = zne.config.clone();
         session.store.publish(
             session.device,
@@ -1505,8 +1517,9 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
                     fp,
                     StoredChoice::Composed(ComposedChoice::from_config(&config, objective)),
                 );
+                stats.published += 1;
             } else if !accepted && seeded {
-                s.store.discard(s.device, s.epoch, &fp);
+                stats.discarded += usize::from(s.store.discard(s.device, s.epoch, &fp));
             }
         }
         Ok((

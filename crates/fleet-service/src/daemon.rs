@@ -69,12 +69,13 @@ use std::thread::JoinHandle;
 use vaqem::backend::QuantumBackend;
 use vaqem::vqe::VqeProblem;
 use vaqem::window_tuner::{
-    FleetCacheSession, StoredChoice, WindowFingerprint, WindowTuner, WindowTunerConfig,
+    FleetCacheSession, StoredChoice, WarmStats, WindowFingerprint, WindowTuner, WindowTunerConfig,
 };
 use vaqem_device::backend::DeviceModel;
 use vaqem_device::drift::DriftModel;
 use vaqem_mathkit::rng::SeedStream;
 use vaqem_mitigation::combined::MitigationConfig;
+use vaqem_runtime::cache::CacheMetrics;
 use vaqem_runtime::persist::{CompactionPolicy, DurableStore};
 use vaqem_runtime::{BatchDispatch, CostModel, WorkloadProfile};
 
@@ -514,10 +515,27 @@ impl FleetService {
     }
 }
 
+/// The store traffic one session caused, read from its own tuner
+/// counters. Capacity evictions are the shard's decision, not a client's
+/// traffic, so they are reported per shard only.
+fn store_traffic(stats: &WarmStats) -> CacheMetrics {
+    CacheMetrics {
+        hits: stats.hits as u64,
+        misses: stats.misses as u64,
+        insertions: stats.published as u64,
+        evictions: 0,
+        invalidations: stats.discarded as u64,
+    }
+}
+
 /// Executes one session on a pool worker. Scheduling decisions (device,
 /// epoch, invalidation attribution) were made by the reactor and travel
-/// in the [`WorkItem`].
-pub(crate) fn run_session(shared: &ServiceShared, item: &WorkItem) -> SessionResult {
+/// in the [`WorkItem`]. Returns the outcome plus the session's own store
+/// traffic for per-client attribution.
+pub(crate) fn run_session(
+    shared: &ServiceShared,
+    item: &WorkItem,
+) -> Result<(SessionOutcome, CacheMetrics), SessionError> {
     let dev = item.device;
     let spec = &shared.devices[dev];
     let cfg = &shared.config;
@@ -601,7 +619,7 @@ pub(crate) fn run_session(shared: &ServiceShared, item: &WorkItem) -> SessionRes
                 .em_minutes_for_zne_evaluations(&profile, &cfg.dispatch, zne_evals, 1, &scales);
     }
 
-    Ok(SessionOutcome {
+    let outcome = SessionOutcome {
         client: item.request.client.clone(),
         device: dev,
         device_name: spec.name.clone(),
@@ -616,5 +634,6 @@ pub(crate) fn run_session(shared: &ServiceShared, item: &WorkItem) -> SessionRes
         // shared across the pool).
         sequence: 0,
         config: report.tuned.config,
-    })
+    };
+    Ok((outcome, store_traffic(&report.stats)))
 }

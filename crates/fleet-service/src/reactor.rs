@@ -109,10 +109,10 @@ pub(crate) struct CompletionReport {
     pub estimate_min: f64,
     /// Measured machine minutes (0 when tuning failed).
     pub actual_min: f64,
-    /// The session's store-traffic delta, measured on the device's
-    /// shard (exact while devices keep distinct shards — the default
-    /// layout the replay asserts).
-    pub store_delta: CacheMetrics,
+    /// The session's own store traffic (its tuner's lookup, publish and
+    /// discard counters), so concurrent sessions on devices sharing a
+    /// shard never count each other's traffic. Zero for a failed run.
+    pub store_traffic: CacheMetrics,
     /// Where the outcome goes.
     pub reply: Reply,
     /// The outcome itself.
@@ -197,8 +197,9 @@ pub struct FleetMetricsReport {
     pub devices: Vec<DeviceMetricsReport>,
     /// Per-client quota accounting (in-flight, reserved, spent, caps).
     pub quotas: Vec<QuotaUsage>,
-    /// Per-client store traffic (hits/misses/insertions... attributed
-    /// from each session's shard delta), sorted by client. Shared with
+    /// Per-client store traffic (hits, misses, insertions and
+    /// invalidations from each session's own tuner counters; evictions
+    /// stay per shard), sorted by client. Shared with
     /// the store's incremental snapshot — building a report no longer
     /// clones every entry under the attribution lock.
     pub client_store_traffic: Arc<Vec<(String, CacheMetrics)>>,
@@ -725,7 +726,7 @@ impl Reactor {
             .settle(&report.client, report.estimate_min, report.actual_min);
         self.shared
             .store
-            .attribute_client(&report.client, &report.store_delta);
+            .attribute_client(&report.client, &report.store_traffic);
         self.free_workers.push(report.worker);
         self.completions_since_tick += 1;
         if self.completions_since_tick >= self.shared.config.tenancy.checkpoint_tick_completions {
@@ -940,18 +941,10 @@ pub(crate) fn worker_loop(
     events: Sender<Event>,
 ) {
     while let Ok(item) = items.recv() {
-        // Only the session's own shard is snapshotted: a full
-        // shard_metrics() sweep would briefly hold every shard's lock
-        // and register as contention against other devices' concurrent
-        // tuning traffic.
-        let shard = shared.store.shard_of(&shared.devices[item.device].name);
-        let before = shared.store.shard_metrics_of(shard).cache;
-        let mut result = run_session(&shared, &item);
-        let store_delta = shared
-            .store
-            .shard_metrics_of(shard)
-            .cache
-            .saturating_delta(&before);
+        let (mut result, store_traffic) = match run_session(&shared, &item) {
+            Ok((outcome, traffic)) => (Ok(outcome), traffic),
+            Err(e) => (Err(e), CacheMetrics::default()),
+        };
         // The completion counter doubles as the global sequence stamp:
         // per-device sequences are monotone because a device's next
         // session dispatches only after this completion is processed.
@@ -965,7 +958,7 @@ pub(crate) fn worker_loop(
             client: item.request.client.clone(),
             estimate_min: item.estimate_min,
             actual_min: result.as_ref().map(|o| o.minutes).unwrap_or(0.0),
-            store_delta,
+            store_traffic,
             reply: item.reply,
             result,
         });

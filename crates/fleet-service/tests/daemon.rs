@@ -551,6 +551,75 @@ fn metrics_report_is_structured_and_prints() {
 }
 
 #[test]
+fn store_traffic_is_attributed_per_session_on_a_shared_shard() {
+    // One shard: both devices' sessions hit the same shard counters, and
+    // two workers run them concurrently. Each client must be credited
+    // with exactly its own sessions' traffic.
+    let dir = temp_dir("shared-shard");
+    let mut cfg = config(&dir);
+    cfg.shards = 1;
+    cfg.tenancy.workers = 2;
+    let seed = 4242;
+    let service = FleetService::open(
+        cfg,
+        vec![device("fleet-east", seed), device("fleet-west", seed)],
+        problem(),
+        SeedStream::new(seed),
+    )
+    .expect("service opens");
+    let store = service.store();
+    assert_eq!(store.shard_of("fleet-east"), store.shard_of("fleet-west"));
+    let clients = ["east-tenant", "west-tenant"];
+    let mut expected = vec![(0u64, 0u64); clients.len()];
+    for t_hours in [1.0, 1.5, 2.0] {
+        let receivers: Vec<_> = clients
+            .iter()
+            .enumerate()
+            .map(|(device, client)| service.submit(request(client, t_hours, Some(device))))
+            .collect();
+        for (rx, totals) in receivers.into_iter().zip(expected.iter_mut()) {
+            let o = rx.recv().expect("worker alive").expect("tuning ok");
+            totals.0 += o.hits as u64;
+            totals.1 += o.misses as u64;
+        }
+    }
+    let report = service.metrics_report();
+    assert_eq!(report.client_store_traffic.len(), clients.len());
+    for (client, &(hits, misses)) in clients.iter().zip(&expected) {
+        let (_, m) = report
+            .client_store_traffic
+            .iter()
+            .find(|(c, _)| c == client)
+            .expect("client attributed");
+        assert_eq!((m.hits, m.misses), (hits, misses), "{client}");
+    }
+    assert!(expected.iter().any(|&(_, m)| m > 0), "cold sessions swept");
+    // Sessions are the shard's only traffic, so the per-client credits
+    // add up to the shard's own counters.
+    let shard = report.shards[store.shard_of("fleet-east")].cache;
+    let mut credited = vaqem_runtime::cache::CacheMetrics::default();
+    for (_, m) in report.client_store_traffic.iter() {
+        credited.merge(m);
+    }
+    assert_eq!(
+        (
+            credited.hits,
+            credited.misses,
+            credited.insertions,
+            credited.invalidations
+        ),
+        (
+            shard.hits,
+            shard.misses,
+            shard.insertions,
+            shard.invalidations
+        )
+    );
+    service.shutdown().expect("checkpoint");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn unpinned_admission_follows_the_queue_samples() {
     let dir = temp_dir("admit");
     let service = open_service(&dir, 4242);

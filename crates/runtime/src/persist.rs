@@ -1084,12 +1084,6 @@ where
         self.store.shard_metrics()
     }
 
-    /// One shard's snapshot, touching only that shard's lock
-    /// (see [`ShardedStore::shard_metrics_of`]).
-    pub fn shard_metrics_of(&self, shard: usize) -> ShardMetrics {
-        self.store.shard_metrics_of(shard)
-    }
-
     /// Zeroes the cache counters on every shard.
     pub fn reset_metrics(&self) {
         self.store.reset_metrics()

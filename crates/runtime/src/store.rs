@@ -186,10 +186,9 @@ pub struct ShardedStore<F, V> {
     /// Per-client traffic attribution, keyed by client label in
     /// first-attribution order. The store itself cannot know which
     /// client caused a lookup (the tuner speaks [`StoreBackend`], which
-    /// has no client notion), so the fleet layer measures each session's
-    /// counter delta ([`CacheMetrics::saturating_delta`]) and credits it
-    /// here — the per-client usage signal the fairness/quota layer and
-    /// the observability report read back.
+    /// has no client notion), so the fleet layer credits each session's
+    /// own traffic counters here — the per-client usage signal the
+    /// fairness/quota layer and the observability report read back.
     attribution: Mutex<AttributionInner>,
 }
 
@@ -357,18 +356,10 @@ impl<F: Hash + Eq + Clone, V> ShardedStore<F, V> {
             .collect()
     }
 
-    /// One shard's observability snapshot, touching **only** that
-    /// shard's lock (quietly). Observers watching a single device —
-    /// e.g. a worker measuring its own session's counter delta — must
-    /// use this rather than sweeping [`Self::shard_metrics`]: a full
-    /// sweep briefly holds every shard's mutex, which a concurrent
-    /// counted access on an unrelated shard would register as
-    /// contention.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` is out of range.
-    pub fn shard_metrics_of(&self, shard: usize) -> ShardMetrics {
+    /// One shard's observability snapshot, taking only that shard's
+    /// lock, quietly: a snapshot must not register as contention against
+    /// concurrent counted accesses.
+    fn shard_metrics_of(&self, shard: usize) -> ShardMetrics {
         let s = &self.shards[shard];
         let guard = s.lock_quiet();
         ShardMetrics {

@@ -177,6 +177,24 @@ pub fn phase_if_one(amps: &mut [Complex64], bit: usize, phase: Complex64) {
     }
 }
 
+/// Always-on ZZ step `exp(-i theta Z_a Z_b / 2)` with its two phases
+/// precomputed: amplitudes whose `bit_a`/`bit_b` agree are multiplied by
+/// `even = cis(-theta/2)`, the others by `odd = cis(theta/2)`. Each
+/// amplitude takes exactly one multiply, so callers that hoist the two
+/// `cis` calls out of a loop get bit-identical results.
+pub fn zz_phase(
+    amps: &mut [Complex64],
+    bit_a: usize,
+    bit_b: usize,
+    even: Complex64,
+    odd: Complex64,
+) {
+    for (i, amp) in amps.iter_mut().enumerate() {
+        let parity = ((i & bit_a != 0) as u8) ^ ((i & bit_b != 0) as u8);
+        *amp *= if parity == 0 { even } else { odd };
+    }
+}
+
 /// Sum of `|a|^2` over amplitudes whose `bit` is set, in ascending index
 /// order (bit-identical to a filtered full-index sweep).
 pub fn excited_population(amps: &[Complex64], bit: usize) -> f64 {

@@ -37,6 +37,30 @@
 //! flushes the accumulated product before the Pauli lands, so the stream is
 //! consumed draw-for-draw exactly as the original per-gate path consumed
 //! it. The original path survives in [`crate::naive`] as the parity oracle.
+//!
+//! Each shot then recomputes only what its own RNG draws determine. Three
+//! pieces of per-segment work are hoisted out of the shot loop, each
+//! bit-identical to the original:
+//!
+//! * **ZZ phases at compile time.** A segment's coupling angle `zeta*dt`
+//!   is fixed by the schedule, so its two phases `cis(-theta/2)` and
+//!   `cis(theta/2)` are computed once and the shot applies them with
+//!   [`kernels::zz_phase`] — the same values multiplied into the same
+//!   amplitudes. The dephasing flip's `cis(PI)` is computed once likewise.
+//! * **Telegraph draws without a log.** The first waiting-time draw `u` of
+//!   a segment flips nothing when `-ln(u)/rate >= dt`. Draws below
+//!   `exp(-rate*dt)·(1-1e-9)` are certain to pass that test (see
+//!   `NO_FLIP_MARGIN`) and skip the `ln`; any other draw takes the
+//!   original loop unchanged, so the number of draws and every flip
+//!   decision stay the same.
+//! * **Per-shot memo of the detuning phase.** Without a flip the signed
+//!   time is exactly `±dt`, and DD padding repeats the same few `dt`
+//!   values across a schedule. Segment lengths are deduplicated by their
+//!   bits at compile time, and `TrajectoryScratch` keeps one slot per
+//!   (qubit, distinct `dt`, sign) holding exactly
+//!   `cis(detuning[q] * signed_time)`. The slots are cleared at the start
+//!   of every shot (the detuning is redrawn), and segments where a flip
+//!   occurs compute `cis` directly.
 
 use crate::counts::Counts;
 use crate::fusion;
@@ -62,12 +86,43 @@ pub struct MachineExecutor {
     shots: u64,
 }
 
+/// Relative margin under `exp(-rate*dt)` below which a segment's first
+/// telegraph draw is known not to flip without evaluating `ln`.
+///
+/// A draw `u < exp(-rate*dt)·(1 - m)` satisfies, in exact arithmetic,
+/// `-ln(u) > rate*dt - ln(1 - m) > rate*dt + m`: an absolute slack of at
+/// least `m = 1e-9` in log space over the flip threshold. The computed test
+/// `-u.ln() / rate >= dt` could only disagree if rounding moved the log
+/// side by more than that slack. Every quantity involved is at most ~746
+/// in magnitude where the fast path can fire (`u >= f64::MIN_POSITIVE`
+/// bounds `-ln(u)` by 708, and the bound underflows to zero once
+/// `rate*dt > 745`), and `ln`, `exp`, the product `rate*dt`, the quotient
+/// and the `(1 - m)` multiply each add at most a couple of ulps, so their
+/// combined error stays below `746 * 8 * 2^-53 ≈ 7e-13` — more than three
+/// orders of magnitude inside the margin.
+const NO_FLIP_MARGIN: f64 = 1e-9;
+
+/// The first-draw fast-path bound `exp(-rate*dt)·(1 - NO_FLIP_MARGIN)`.
+fn no_flip_bound(rate: f64, dt: f64) -> f64 {
+    (-rate * dt).exp() * (1.0 - NO_FLIP_MARGIN)
+}
+
+/// Whether a segment's first telegraph draw `u` is certain not to flip
+/// (the original `-u.ln() / rate >= dt` would hold) without taking the log.
+#[inline]
+fn first_draw_cannot_flip(u: f64, no_flip_below: f64) -> bool {
+    u < no_flip_below
+}
+
 /// Per-qubit free-evolution parameters for one timeline segment, resolved
 /// at compile time (everything here is schedule- and noise-determined).
 #[derive(Debug, Clone)]
 struct FreeQubit {
     q: usize,
     telegraph_rate: f64,
+    /// [`no_flip_bound`] of this segment (unused when the rate is not
+    /// positive: no draw happens then).
+    no_flip_below: f64,
     /// Amplitude-damping probability scale `1 - exp(-dt/T1)`; `0.0` skips
     /// the damping step (and its RNG draw), matching the original early
     /// return for non-positive gamma.
@@ -84,10 +139,14 @@ struct FreeQubit {
 #[derive(Debug, Clone)]
 struct FreeSegment {
     dt: f64,
+    /// Index of `dt` among the schedule's distinct segment lengths (by
+    /// bits); keys the per-shot detuning-phase memo.
+    dt_index: usize,
     /// Started qubits in ascending order (the original iteration order).
     qubits: Vec<FreeQubit>,
-    /// Started coupled pairs with the accumulated angle `zeta * dt`.
-    zz: Vec<(usize, usize, f64)>,
+    /// Started coupled pairs `(a, b, cis(-theta/2), cis(theta/2))` for the
+    /// accumulated angle `theta = zeta * dt`.
+    zz: Vec<(usize, usize, Complex64, Complex64)>,
 }
 
 /// One step of the compiled per-job program.
@@ -118,6 +177,11 @@ struct CompiledSchedule {
     sigma: Vec<f64>,
     /// Per-qubit readout flip probabilities `(p01, p10)`.
     readout: Vec<(f64, f64)>,
+    /// Number of distinct free-segment lengths (`FreeSegment::dt_index`
+    /// ranges below it).
+    num_dts: usize,
+    /// The pure-dephasing Z flip's phase `cis(PI)`.
+    dephase_flip: Complex64,
 }
 
 impl CompiledSchedule {
@@ -135,7 +199,15 @@ impl CompiledSchedule {
         let mut steps = Vec::new();
         let mut now = 0.0f64;
         let mut started = vec![false; n];
-        let segment = |dt: f64, started: &[bool]| -> FreeSegment {
+        let mut dts: Vec<u64> = Vec::new();
+        let mut segment = |dt: f64, started: &[bool]| -> FreeSegment {
+            let dt_index = match dts.iter().position(|&b| b == dt.to_bits()) {
+                Some(i) => i,
+                None => {
+                    dts.push(dt.to_bits());
+                    dts.len() - 1
+                }
+            };
             let qubits = (0..n)
                 .filter(|&q| started[q])
                 .map(|q| {
@@ -155,6 +227,7 @@ impl CompiledSchedule {
                     FreeQubit {
                         q,
                         telegraph_rate: qn.telegraph_rate_per_ns,
+                        no_flip_below: no_flip_bound(qn.telegraph_rate_per_ns, dt),
                         gamma,
                         damp: (1.0 - gamma).sqrt(),
                         dephase_p,
@@ -164,9 +237,22 @@ impl CompiledSchedule {
             let zz = zz
                 .iter()
                 .filter(|((a, b), _)| started[*a] && started[*b])
-                .map(|&((a, b), zeta)| (a, b, zeta * dt))
+                .map(|&((a, b), zeta)| {
+                    let theta = zeta * dt;
+                    (
+                        a,
+                        b,
+                        Complex64::cis(-theta / 2.0),
+                        Complex64::cis(theta / 2.0),
+                    )
+                })
                 .collect();
-            FreeSegment { dt, qubits, zz }
+            FreeSegment {
+                dt,
+                dt_index,
+                qubits,
+                zz,
+            }
         };
         for op in scheduled.ops() {
             if matches!(op.gate, Gate::Barrier) {
@@ -214,28 +300,48 @@ impl CompiledSchedule {
                     (qn.readout_p01, qn.readout_p10)
                 })
                 .collect(),
+            num_dts: dts.len(),
+            dephase_flip: Complex64::cis(std::f64::consts::PI),
         }
     }
 }
 
 /// Buffers reused across every shot of a job: the statevector, the
-/// quasi-static environment, and the per-qubit pending fused products.
+/// quasi-static environment, the per-qubit pending fused products, and the
+/// per-shot detuning-phase memo.
 #[derive(Debug)]
 struct TrajectoryScratch {
     sv: StateVector,
     detuning: Vec<f64>,
     telegraph_sign: Vec<f64>,
     pending: Vec<Option<M2>>,
+    /// `cis(detuning[q] * sign * dt)` for segments without a flip, slot
+    /// `(q * num_dts + dt_index) * 2 + (sign < 0)`; cleared every shot.
+    phase_memo: Vec<Option<Complex64>>,
+    num_dts: usize,
 }
 
 impl TrajectoryScratch {
-    fn new(num_qubits: usize) -> Self {
+    fn new(compiled: &CompiledSchedule) -> Self {
+        let n = compiled.num_qubits;
         TrajectoryScratch {
-            sv: StateVector::zero_state(num_qubits),
-            detuning: vec![0.0; num_qubits],
-            telegraph_sign: vec![1.0; num_qubits],
-            pending: vec![None; num_qubits],
+            sv: StateVector::zero_state(n),
+            detuning: vec![0.0; n],
+            telegraph_sign: vec![1.0; n],
+            pending: vec![None; n],
+            phase_memo: vec![None; n * compiled.num_dts * 2],
+            num_dts: compiled.num_dts,
         }
+    }
+
+    /// The quasi-static phase of a flip-free segment: exactly
+    /// `cis(detuning[q] * (sign * dt))`, computed once per shot per
+    /// (qubit, segment length, sign).
+    fn steady_phase(&mut self, q: usize, seg: &FreeSegment) -> Complex64 {
+        let sign = self.telegraph_sign[q];
+        let slot = (q * self.num_dts + seg.dt_index) * 2 + usize::from(sign < 0.0);
+        let detuning = self.detuning[q];
+        *self.phase_memo[slot].get_or_insert_with(|| Complex64::cis(detuning * (sign * seg.dt)))
     }
 
     /// Applies and clears the pending fused product on `q`, if any.
@@ -345,7 +451,7 @@ impl MachineExecutor {
         );
         let compiled = CompiledSchedule::compile(scheduled, &self.noise);
         let seed_base = self.seeds.child_seed("machine-trajectory");
-        let mut scratch = TrajectoryScratch::new(n);
+        let mut scratch = TrajectoryScratch::new(&compiled);
         let mut hist = vec![0u64; 1usize << n];
         for shot in shot_range {
             let mut rng = StdRng::seed_from_u64(indexed_seed(
@@ -376,13 +482,14 @@ fn run_trajectory(
         scratch.telegraph_sign[q] = if rng.gen::<bool>() { -1.0 } else { 1.0 };
         scratch.pending[q] = None;
     }
+    scratch.phase_memo.fill(None);
 
     for step in &compiled.steps {
         match step {
             Step::Free(seg) => {
                 // Free evolution does not commute with pending products.
                 scratch.flush_all();
-                free_evolution(seg, scratch, rng);
+                free_evolution(seg, compiled.dephase_flip, scratch, rng);
             }
             Step::Gate1 { q, u, err_p } => {
                 let q = *q;
@@ -453,7 +560,16 @@ fn run_trajectory(
 /// accumulated unit-norm float drift), and every RNG draw happens at the
 /// same stream position with a probability computed from the same sweep
 /// arithmetic.
-fn free_evolution(seg: &FreeSegment, scratch: &mut TrajectoryScratch, rng: &mut StdRng) {
+///
+/// The quasi-static phase of a flip-free segment comes from the per-shot
+/// memo, and the ZZ and dephasing-flip phases were fixed at compile time
+/// (see the module docs).
+fn free_evolution(
+    seg: &FreeSegment,
+    dephase_flip: Complex64,
+    scratch: &mut TrajectoryScratch,
+    rng: &mut StdRng,
+) {
     for fq in &seg.qubits {
         let q = fq.q;
         let bit = 1usize << q;
@@ -462,24 +578,23 @@ fn free_evolution(seg: &FreeSegment, scratch: &mut TrajectoryScratch, rng: &mut 
         // signed detuning over dt, flipping the sign at Poisson times.
         let mut phase = None;
         if scratch.detuning[q] != 0.0 {
-            let mut remaining = seg.dt;
-            let mut signed_time = 0.0;
+            let mut flipped_time = None;
             if fq.telegraph_rate > 0.0 {
-                loop {
-                    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                    let next_flip = -u.ln() / fq.telegraph_rate;
-                    if next_flip >= remaining {
-                        signed_time += scratch.telegraph_sign[q] * remaining;
-                        break;
-                    }
-                    signed_time += scratch.telegraph_sign[q] * next_flip;
-                    scratch.telegraph_sign[q] = -scratch.telegraph_sign[q];
-                    remaining -= next_flip;
+                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+                if !first_draw_cannot_flip(u, fq.no_flip_below) {
+                    flipped_time = telegraph_walk(
+                        u,
+                        fq.telegraph_rate,
+                        seg.dt,
+                        &mut scratch.telegraph_sign[q],
+                        rng,
+                    );
                 }
-            } else {
-                signed_time = scratch.telegraph_sign[q] * seg.dt;
             }
-            phase = Some(Complex64::cis(scratch.detuning[q] * signed_time));
+            phase = Some(match flipped_time {
+                Some(signed_time) => Complex64::cis(scratch.detuning[q] * signed_time),
+                None => scratch.steady_phase(q, seg),
+            });
         }
 
         // Amplitude damping as an MCWF jump/no-jump step, with the phase
@@ -507,13 +622,37 @@ fn free_evolution(seg: &FreeSegment, scratch: &mut TrajectoryScratch, rng: &mut 
         // Pure dephasing as a stochastic Z flip.
         if let Some(p) = fq.dephase_p {
             if rng.gen::<f64>() < p {
-                scratch.sv.apply_phase_if_one(std::f64::consts::PI, q);
+                kernels::phase_if_one(scratch.sv.amps_mut(), bit, dephase_flip);
             }
         }
     }
     // Always-on ZZ between started pairs.
-    for &(a, b, theta) in &seg.zz {
-        scratch.sv.apply_zz(theta, a, b);
+    for &(a, b, even, odd) in &seg.zz {
+        kernels::zz_phase(scratch.sv.amps_mut(), 1 << a, 1 << b, even, odd);
+    }
+}
+
+/// The original telegraph integration loop over one segment, entered with
+/// its first waiting-time draw `u` already taken: integrates the signed
+/// detuning time over `dt`, flipping `sign` at each Poisson time and
+/// drawing the next waiting time after each flip. Returns the signed time
+/// when at least one flip occurred, `None` otherwise — the signed time is
+/// then exactly `sign * dt`, which the per-shot memo serves.
+fn telegraph_walk(mut u: f64, rate: f64, dt: f64, sign: &mut f64, rng: &mut StdRng) -> Option<f64> {
+    let mut remaining = dt;
+    let mut signed_time = 0.0;
+    let mut flipped = false;
+    loop {
+        let next_flip = -u.ln() / rate;
+        if next_flip >= remaining {
+            signed_time += *sign * remaining;
+            return flipped.then_some(signed_time);
+        }
+        signed_time += *sign * next_flip;
+        *sign = -*sign;
+        remaining -= next_flip;
+        flipped = true;
+        u = rng.gen_range(f64::MIN_POSITIVE..1.0);
     }
 }
 
@@ -608,6 +747,40 @@ mod tests {
         let fast = exec.run_job(&s, 3);
         let slow = naive::machine_run_job_with_shots(&noise, &seeds, &s, 2048, 3);
         assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn telegraph_fast_path_agrees_with_ln_decision() {
+        // The original decision for a segment's first draw: no flip iff
+        // -ln(u)/rate >= dt. The fast path may only claim "no flip" where
+        // that holds; probe the bound, its float neighbours, and the 4096
+        // floats just below it (the draws closest to a wrong claim).
+        let ln_no_flip = |u: f64, rate: f64, dt: f64| -u.ln() / rate >= dt;
+        for rate in [2.0e-6, 8.0e-6, 1.0e-3, 0.37] {
+            for dt in [1.0e-6, 35.5, 107.0, 1_422.0, 28_440.0] {
+                let bound = no_flip_bound(rate, dt);
+                assert!(!first_draw_cannot_flip(bound, bound));
+                assert!(!first_draw_cannot_flip(bound.next_up(), bound));
+                let mut u = bound.next_down();
+                // Draws lie in [f64::MIN_POSITIVE, 1).
+                for _ in 0..4096 {
+                    if u < f64::MIN_POSITIVE {
+                        break;
+                    }
+                    assert!(first_draw_cannot_flip(u, bound));
+                    assert!(ln_no_flip(u, rate, dt), "rate {rate} dt {dt} u {u:e}");
+                    u = u.next_down();
+                }
+                // The margin band between the bound and the exact threshold
+                // takes the ln path, whose verdict there is still "no flip".
+                let threshold = (-rate * dt).exp();
+                assert!(!first_draw_cannot_flip(threshold, bound));
+                assert!(ln_no_flip(bound, rate, dt));
+            }
+        }
+        // Once exp(-rate*dt) underflows the fast path can never fire.
+        let bound = no_flip_bound(1.0, 1.0e4);
+        assert!(!first_draw_cannot_flip(f64::MIN_POSITIVE, bound));
     }
 
     #[test]

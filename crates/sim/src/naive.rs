@@ -164,6 +164,18 @@ fn phase_if_one(sv: &mut StateVector, theta: f64, q: usize) {
     }
 }
 
+/// Original always-on ZZ step: two `cis` per call and a full sweep with a
+/// parity branch per index.
+pub fn apply_zz(sv: &mut StateVector, theta: f64, a: usize, b: usize) {
+    let (ba, bb) = (1usize << a, 1usize << b);
+    let plus = Complex64::cis(-theta / 2.0);
+    let minus = Complex64::cis(theta / 2.0);
+    for (i, amp) in sv.amps_mut().iter_mut().enumerate() {
+        let parity = ((i & ba != 0) as u8) ^ ((i & bb != 0) as u8);
+        *amp *= if parity == 0 { plus } else { minus };
+    }
+}
+
 /// Original trajectory executor: per-shot allocation of the statevector and
 /// environment buffers, per-gate unitary fetches, clone-based MCWF damping.
 /// Identical RNG consumption to the compiled executor in
@@ -338,7 +350,7 @@ fn machine_free_evolution(
     }
     for &((a, b), zeta) in zz {
         if started[a] && started[b] {
-            sv.apply_zz(zeta * dt, a, b);
+            apply_zz(sv, zeta * dt, a, b);
         }
     }
 }

@@ -150,13 +150,13 @@ impl StateVector {
 
     /// Applies `exp(-i theta Z_a Z_b / 2)` (always-on ZZ coupling step).
     pub fn apply_zz(&mut self, theta: f64, a: usize, b: usize) {
-        let (ba, bb) = (1usize << a, 1usize << b);
-        let plus = Complex64::cis(-theta / 2.0);
-        let minus = Complex64::cis(theta / 2.0);
-        for (i, amp) in self.amps.iter_mut().enumerate() {
-            let parity = ((i & ba != 0) as u8) ^ ((i & bb != 0) as u8);
-            *amp *= if parity == 0 { plus } else { minus };
-        }
+        kernels::zz_phase(
+            &mut self.amps,
+            1 << a,
+            1 << b,
+            Complex64::cis(-theta / 2.0),
+            Complex64::cis(theta / 2.0),
+        );
     }
 
     /// Applies a concrete gate instruction.

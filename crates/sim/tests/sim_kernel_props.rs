@@ -15,6 +15,9 @@
 //! * exact-counts apportionment always totals the requested shots;
 //! * the trajectory machine is deterministic and shot-range splitting
 //!   merges back to the sequential run bit for bit;
+//! * on DD-padded schedules with ZZ coupling and telegraph noise, the
+//!   trajectory machine's counts equal the original per-op executor's
+//!   exactly (the per-shot hoists change no draw and no amplitude);
 //! * the density engine's sub-block sweeps match the embed-and-multiply
 //!   originals to 1e-12.
 //!
@@ -26,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vaqem_circuit::circuit::QuantumCircuit;
 use vaqem_circuit::schedule::{schedule, DurationModel, ScheduleKind, ScheduledCircuit};
-use vaqem_device::noise::NoiseParameters;
+use vaqem_device::noise::{NoiseParameters, QubitNoise};
 use vaqem_mathkit::c64;
 use vaqem_mathkit::complex::Complex64;
 use vaqem_mathkit::rng::SeedStream;
@@ -79,6 +82,65 @@ fn build_circuit(n: usize, ops: &[OpSpec]) -> QuantumCircuit {
 
 fn sched(qc: &QuantumCircuit) -> ScheduledCircuit {
     schedule(qc, &DurationModel::ibm_default(), ScheduleKind::Asap).unwrap()
+}
+
+/// One layer of a randomized DD-padded schedule:
+/// `(kind, angle, qubit pick, qubit pick, idle ns)`.
+type LayerSpec = (u8, f64, usize, usize, f64);
+
+fn layer_strategy() -> impl Strategy<Value = LayerSpec> {
+    (
+        0u8..6,
+        -3.0f64..3.0,
+        0usize..5,
+        0usize..5,
+        400.0f64..20_000.0,
+    )
+}
+
+/// Fills an idle window of `idle` ns on `q` with an XY4 sequence:
+/// `T/8 X T/4 Y T/4 X T/4 Y T/8`, the repeated spacings DD padding
+/// produces.
+fn pad_xy4(qc: &mut QuantumCircuit, q: usize, idle: f64) {
+    qc.delay(idle / 8.0, q).unwrap();
+    for (i, spacing) in [idle / 4.0, idle / 4.0, idle / 4.0, idle / 8.0]
+        .into_iter()
+        .enumerate()
+    {
+        if i % 2 == 0 {
+            qc.x(q).unwrap();
+        } else {
+            qc.y(q).unwrap();
+        }
+        qc.delay(spacing, q).unwrap();
+    }
+}
+
+/// Materializes random layers into a measured circuit of width `n`: single-
+/// qubit rotations, CX, XY4-padded idle windows and bare delays.
+fn build_dd_circuit(n: usize, layers: &[LayerSpec]) -> QuantumCircuit {
+    let mut qc = QuantumCircuit::new(n);
+    for q in 0..n {
+        qc.h(q).unwrap();
+    }
+    for &(kind, theta, a, b, idle) in layers {
+        let q = a % n;
+        match kind {
+            0 => qc.ry(theta, q).unwrap(),
+            1 => qc.rz(theta, q).unwrap(),
+            2 => {
+                let t = if b % n == q { (q + 1) % n } else { b % n };
+                qc.cx(q, t).unwrap()
+            }
+            3 | 4 => {
+                pad_xy4(&mut qc, q, idle);
+                &mut qc
+            }
+            _ => qc.delay(idle, q).unwrap(),
+        };
+    }
+    qc.measure_all();
+    qc
 }
 
 fn random_state(n: usize, parts: &[(f64, f64)]) -> Vec<Complex64> {
@@ -200,5 +262,55 @@ proptest! {
         let mut merged = exec.run_job_shot_range(&s, job, 0..k);
         merged.merge(&exec.run_job_shot_range(&s, job, k..shots));
         prop_assert_eq!(&full, &merged);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn zz_kernel_is_bit_identical_to_naive_loop(
+        n in 2usize..9,
+        parts in collection::vec((-1.0f64..1.0, -1.0f64..1.0), 4..16),
+        theta in -3.0f64..3.0,
+        picks in (0usize..10, 0usize..10),
+    ) {
+        let a = picks.0 % n;
+        let b = if picks.1 % n == a { (a + 1) % n } else { picks.1 % n };
+        let mut fast = StateVector::from_amplitudes(random_state(n, &parts));
+        let mut slow = fast.clone();
+        fast.apply_zz(theta, a, b);
+        naive::apply_zz(&mut slow, theta, a, b);
+        prop_assert_eq!(fast.amplitudes(), slow.amplitudes());
+    }
+
+    /// Rates 0 and 2e-6/ns take the no-draw and the log-free first-draw
+    /// paths; 1e-3/ns flips several times per window, so the log path, the
+    /// flipped-segment `cis` and the memo's sign slots all run.
+    #[test]
+    fn dd_padded_trajectories_match_naive_reference(
+        n in 2usize..6,
+        layers in collection::vec(layer_strategy(), 1..12),
+        rate_pick in 0usize..3,
+        zeta in 1.0e-5f64..2.0e-4,
+        shots in 1u64..96,
+        job in 0u64..32,
+    ) {
+        let rate = [0.0, 2.0e-6, 1.0e-3][rate_pick];
+        let mut noise = NoiseParameters::from_qubits(vec![
+            QubitNoise {
+                telegraph_rate_per_ns: rate,
+                ..QubitNoise::default()
+            };
+            n
+        ]);
+        for q in 0..n - 1 {
+            noise.set_zz(q, q + 1, zeta * (q + 1) as f64);
+        }
+        let s = sched(&build_dd_circuit(n, &layers));
+        let seeds = SeedStream::new(4321);
+        let fast = MachineExecutor::new(noise.clone(), seeds).run_job_with_shots(&s, shots, job);
+        let slow = naive::machine_run_job_with_shots(&noise, &seeds, &s, shots, job);
+        prop_assert_eq!(fast, slow);
     }
 }
